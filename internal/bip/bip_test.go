@@ -3,8 +3,10 @@ package bip
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
@@ -266,4 +268,34 @@ func TestShortPayloadIntegrity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestClosedWorldIsCollectable checks that attaching leaves no
+// process-wide reference behind: the interface lives on its adapter, so
+// a world nobody uses any more is garbage, adapters included.
+// The adapter sits on reference cycles (node, world, driver state) and
+// Go never runs a finalizer set on a cycle, so the probe is the
+// adapter's transmit engine: a leaf that only the adapter reaches.
+func TestClosedWorldIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		b0, b1 := pair(t)
+		s, r := vclock.NewActor("s"), vclock.NewActor("r")
+		if err := b0.TSendShort(s, 1, 3, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b1.TRecvShort(r, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(b0.Adapter().TxEngine(), func(*vclock.Resource) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("an unused world's adapter survived a collection")
 }

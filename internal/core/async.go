@@ -400,7 +400,6 @@ func (am *AsyncMsg) SubmitEnd() *Request {
 
 func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Request {
 	am.ch.stats.asyncSubmitted.Add(1)
-	am.ch.met.submitted.Add(1)
 	am.mu.Lock()
 	am.seq++
 	r := &Request{am: am, kind: k, seq: am.seq}
@@ -443,9 +442,7 @@ func (am *AsyncMsg) deliver(c Completion) {
 	am.ch.stats.asyncCompleted.Add(1)
 	if c.Err != nil {
 		am.ch.stats.asyncErrors.Add(1)
-		am.ch.met.errors.Add(1)
 	}
-	am.ch.met.completed.Add(1)
 	if r := c.Req; r != nil {
 		r.comp = c
 		if !r.st.CompareAndSwap(reqPending, reqDone) {

@@ -502,7 +502,7 @@ func TestInstrumentTMIdentity(t *testing.T) {
 	recvMsg(t, chans[1], r, []block{{data: payload, sm: SendCheaper, rm: ReceiveCheaper}})
 	recvMsg(t, chans[1], r, []block{{data: payload, sm: SendCheaper, rm: ReceiveCheaper}})
 
-	lats := obs.TMLatencies()
+	lats := tmLatencies(obs)
 	var txSeen int
 	var txCount int64
 	for name, s := range lats {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -48,57 +47,6 @@ func (o *Observer) Metrics() *metrics.Registry {
 	return o.reg
 }
 
-// Count bumps a named event counter — the sink layers use for discrete
-// reliability events (retransmits, drops by cause, duplicate
-// suppressions) that have no duration to record as a span. Nil-safe.
-// Hot paths should resolve Metrics().Counter once and cache it.
-func (o *Observer) Count(name string, delta int64) {
-	if o == nil {
-		return
-	}
-	o.reg.Counter(name).Add(delta)
-}
-
-// CountMax records a high-water mark: the named gauge keeps the largest
-// value ever reported. The progress engine uses it for run-queue depth,
-// worker occupancy and CQ backlog. Nil-safe.
-func (o *Observer) CountMax(name string, v int64) {
-	if o == nil {
-		return
-	}
-	o.reg.Gauge(name).SetMax(v)
-}
-
-// Maxes snapshots every high-water-mark gauge that has moved.
-func (o *Observer) Maxes() map[string]int64 {
-	if o == nil {
-		return nil
-	}
-	out := make(map[string]int64)
-	for _, g := range o.reg.Snapshot().Gauges {
-		if g.Value != 0 {
-			out[g.Name] = g.Value
-		}
-	}
-	return out
-}
-
-// Counters snapshots every named event counter that has fired, including
-// collector-fed ones (fault/*, chan/*) the registry pulls at snapshot
-// time.
-func (o *Observer) Counters() map[string]int64 {
-	if o == nil {
-		return nil
-	}
-	out := make(map[string]int64)
-	for _, c := range o.reg.Snapshot().Counters {
-		if c.Value != 0 {
-			out[c.Name] = c.Value
-		}
-	}
-	return out
-}
-
 // Recorder exposes the span sink; nil-safe.
 func (o *Observer) Recorder() *trace.Recorder {
 	if o == nil {
@@ -107,73 +55,40 @@ func (o *Observer) Recorder() *trace.Recorder {
 	return o.rec
 }
 
-// TM returns (creating on first use) the latency histogram for one TM
-// direction, keyed like "bip-short/tx". Nil-safe: a nil observer yields
-// a nil histogram, itself a valid no-op sink.
-func (o *Observer) TM(name string) *trace.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Histogram(name)
-}
-
-// TMLatencies snapshots every histogram with at least one observation.
-func (o *Observer) TMLatencies() map[string]trace.HistSnapshot {
-	if o == nil {
-		return nil
-	}
-	hists := o.reg.Snapshot().Hists
-	out := make(map[string]trace.HistSnapshot, len(hists))
-	for _, h := range hists {
-		out[h.Name] = h.HistSnapshot
-	}
-	return out
-}
-
-// Report renders the per-TM latency histograms as a sorted table,
-// followed by the named event counters when any have fired.
+// Report renders one registry snapshot: the latency histograms (per TM
+// direction, and per rail on striped channels) as a table, then the
+// counters and the high-water-mark gauges that have moved.
 func (o *Observer) Report() string {
 	var b strings.Builder
-	lats := o.TMLatencies()
-	if len(lats) == 0 {
+	snap := o.Metrics().Snapshot()
+	if len(snap.Hists) == 0 {
 		b.WriteString("(no TM latencies observed)\n")
 	} else {
-		names := make([]string, 0, len(lats))
-		for n := range lats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		fmt.Fprintf(&b, "%-18s %8s %12s %12s %12s %12s %12s\n",
 			"tm", "count", "min", "p50", "p99", "max", "mean")
-		for _, n := range names {
-			s := lats[n]
+		for _, h := range snap.Hists {
 			fmt.Fprintf(&b, "%-18s %8d %12v %12v %12v %12v %12v\n",
-				n, s.Count, s.Min, s.P50, s.P99, s.Max, s.Mean())
+				h.Name, h.Count, h.Min, h.P50, h.P99, h.Max, h.Mean())
 		}
 	}
-	if counters := o.Counters(); len(counters) > 0 {
-		names := make([]string, 0, len(counters))
-		for n := range counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		b.WriteString("events:\n")
-		for _, n := range names {
-			fmt.Fprintf(&b, "  %-24s %8d\n", n, counters[n])
-		}
-	}
-	if maxes := o.Maxes(); len(maxes) > 0 {
-		names := make([]string, 0, len(maxes))
-		for n := range maxes {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		b.WriteString("high-water marks:\n")
-		for _, n := range names {
-			fmt.Fprintf(&b, "  %-24s %8d\n", n, maxes[n])
-		}
-	}
+	reportNonZero(&b, "events:\n", snap.Counters)
+	reportNonZero(&b, "high-water marks:\n", snap.Gauges)
 	return b.String()
+}
+
+// reportNonZero renders the nonzero values of one snapshot section under
+// its heading; a section with none prints nothing.
+func reportNonZero(b *strings.Builder, heading string, vs []metrics.NamedValue) {
+	for _, v := range vs {
+		if v.Value == 0 {
+			continue
+		}
+		if heading != "" {
+			b.WriteString(heading)
+			heading = ""
+		}
+		fmt.Fprintf(b, "  %-24s %8d\n", v.Name, v.Value)
+	}
 }
 
 // span records one interval ending now on the channel's observer; the

@@ -63,7 +63,7 @@ func TestObserverSpansAcrossLayers(t *testing.T) {
 	}
 
 	// The per-TM histograms saw both directions of both TMs.
-	lats := obs.TMLatencies()
+	lats := tmLatencies(obs)
 	for _, want := range []string{"bip-short/tx", "bip-short/rx", "bip-long/tx", "bip-long/rx"} {
 		if lats[want].Count == 0 {
 			t.Errorf("histogram %q empty; got %v", want, lats)
@@ -173,8 +173,8 @@ func TestObserverHistogramOnly(t *testing.T) {
 	go func() { done <- recvMsg(t, chans[1], r, blocks) }()
 	sendMsg(t, chans[0], s, 1, blocks)
 	<-done
-	if obs.TMLatencies()["bip-short/tx"].Count == 0 {
-		t.Errorf("histograms must work without a recorder: %v", obs.TMLatencies())
+	if tmLatencies(obs)["bip-short/tx"].Count == 0 {
+		t.Errorf("histograms must work without a recorder: %v", tmLatencies(obs))
 	}
 }
 
@@ -182,53 +182,77 @@ func TestObserverHistogramOnly(t *testing.T) {
 // no-op value.
 func TestObserverNilAccessors(t *testing.T) {
 	var obs *Observer
-	if obs.Recorder() != nil || obs.TM("x") != nil {
+	if obs.Recorder() != nil || obs.Metrics() != nil {
 		t.Error("nil observer accessors must return nil")
 	}
-	if obs.TMLatencies() != nil {
+	if tmLatencies(obs) != nil {
 		t.Error("nil observer latencies must be nil")
 	}
-	if !strings.Contains(obs.Report(), "no TM latencies") {
-		t.Errorf("nil Report = %q", obs.Report())
-	}
-	obs.Count("fwd/retransmit", 1) // nil-safe no-op
-	if obs.Counters() != nil {
-		t.Error("nil observer counters must be nil")
+	if rep := obs.Report(); rep != "(no TM latencies observed)\n" {
+		t.Errorf("nil Report = %q", rep)
 	}
 }
 
-// TestObserverCounters exercises the named event counters the reliability
-// layer reports discrete events (retransmits, drops by cause) through.
+// TestObserverCounters checks Report against the registry it renders:
+// counters and high-water marks that have moved appear under their
+// headings in name order, zero values stay out, and the values are the
+// registry's own, summed across concurrent writers.
 func TestObserverCounters(t *testing.T) {
 	obs := NewObserver(nil)
-	if len(obs.Counters()) != 0 {
-		t.Fatalf("fresh observer has counters: %v", obs.Counters())
-	}
+	reg := obs.Metrics()
+	reg.Counter("fwd/rel/ack") // resolved but never bumped
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c := reg.Counter("fwd/rel/retransmit")
 			for j := 0; j < 100; j++ {
-				obs.Count("fwd/retransmit", 1)
+				c.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	obs.Count("fwd/drop/crc", 3)
-	got := obs.Counters()
-	if got["fwd/retransmit"] != 800 || got["fwd/drop/crc"] != 3 {
-		t.Errorf("counters = %v", got)
+	reg.Counter("fwd/drop/crc").Add(3)
+	reg.Gauge("async/runq-max").SetMax(5)
+	want := "(no TM latencies observed)\n" +
+		"events:\n" +
+		fmt.Sprintf("  %-24s %8d\n", "fwd/drop/crc", 3) +
+		fmt.Sprintf("  %-24s %8d\n", "fwd/rel/retransmit", 800) +
+		"high-water marks:\n" +
+		fmt.Sprintf("  %-24s %8d\n", "async/runq-max", 5)
+	if rep := obs.Report(); rep != want {
+		t.Errorf("Report =\n%s\nwant\n%s", rep, want)
 	}
-	// Counters returns a snapshot, not the live map.
-	got["fwd/retransmit"] = 0
-	if obs.Counters()["fwd/retransmit"] != 800 {
-		t.Error("Counters must snapshot, not alias")
+}
+
+// TestCountersAlwaysOn runs the rdma and rail fault scenarios without an
+// observer: the protocol-event counters land in the session registry all
+// the same, with the values an observed run of the same seed reports.
+func TestCountersAlwaysOn(t *testing.T) {
+	unobserved := hostileRDMARun(t, 23, 6, nil)
+	observed := hostileRDMARun(t, 23, 6, NewObserver(nil))
+	for _, k := range []string{"rdma/ctrl-damaged", "rdma/rdv-retransmit", "rdma/rdv-nack"} {
+		if unobserved[k] == 0 || unobserved[k] != observed[k] {
+			t.Errorf("%s: unobserved %d, observed %d; want equal and nonzero", k, unobserved[k], observed[k])
+		}
 	}
-	rep := obs.Report()
-	if !strings.Contains(rep, "events:") || !strings.Contains(rep, "fwd/retransmit") {
-		t.Errorf("Report must render fired counters: %q", rep)
+	if n := scrambledRailRun(t, nil); n == 0 {
+		t.Error("rail/hdr-mismatch = 0 in an unobserved session with every rail header scrambled")
 	}
+}
+
+// tmLatencies maps each observed latency histogram to its snapshot; nil
+// for a nil observer.
+func tmLatencies(obs *Observer) map[string]trace.HistSnapshot {
+	if obs == nil {
+		return nil
+	}
+	out := make(map[string]trace.HistSnapshot)
+	for _, h := range obs.Metrics().Snapshot().Hists {
+		out[h.Name] = h.HistSnapshot
+	}
+	return out
 }
 
 // TestObserverStatsConcurrent drives an observed channel from many
@@ -302,7 +326,7 @@ func TestObserverStatsConcurrent(t *testing.T) {
 	if sentBlocks != senders*msgs {
 		t.Errorf("total sent blocks = %d", sentBlocks)
 	}
-	lats := obs.TMLatencies()
+	lats := tmLatencies(obs)
 	if got := lats["bip-short/tx"].Count; got != senders*msgs {
 		t.Errorf("bip-short/tx count = %d, want %d", got, senders*msgs)
 	}

@@ -295,7 +295,7 @@ func (p *railPMM) railSpan(cs *ConnState, a *vclock.Actor, t0 vclock.Time, ri in
 	if tx {
 		dir, lbl = "tx", "x:"
 	}
-	ch.obs.TM(fmt.Sprintf("rail%d-%s/%s", ri, sub, dir)).Observe(a.Now() - t0)
+	ch.obs.reg.Histogram(fmt.Sprintf("rail%d-%s/%s", ri, sub, dir)).Observe(a.Now() - t0)
 	ch.span(a, t0, fmt.Sprintf("%srail%d %s", lbl, ri, sub))
 }
 
@@ -388,10 +388,6 @@ func (p *railPMM) stripeRecv(a *vclock.Actor, cs *ConnState, dsts [][]byte) erro
 	rc.recvSeq++
 	nc := (total + p.stripe - 1) / p.stripe
 	nr := min(len(p.rails), nc)
-	var obs *Observer
-	if cs.ch != nil {
-		obs = cs.ch.obs
-	}
 	return forkRails(a, nr, func(ri int, ra *vclock.Actor) error {
 		for k := ri; k < nc; k += nr {
 			off := k * p.stripe
@@ -405,7 +401,7 @@ func (p *railPMM) stripeRecv(a *vclock.Actor, cs *ConnState, dsts [][]byte) erro
 			p.railSpan(cs, ra, t0, ri, false, tm.Name())
 			hseq, hoff, hn, hlast := parseRailHdr(frame)
 			if hseq != seq || hoff != off || hn != n || hlast != (k == nc-1) {
-				obs.Count("rail/hdr-mismatch", 1)
+				sessionMetrics(cs).Counter("rail/hdr-mismatch").Add(1)
 			}
 			scatterFrom(frame[railHdrSize:], dsts, off)
 		}

@@ -262,13 +262,6 @@ func (p *rdmaPMM) writeFrame(a *vclock.Actor, st *rdmaConn, key uint32, slot int
 	return err
 }
 
-// countObs bumps a channel observer counter (nil-safe).
-func countObs(cs *ConnState, name string) {
-	if cs.ch != nil && cs.ch.obs != nil {
-		cs.ch.obs.Count(name, 1)
-	}
-}
-
 // waitResp consumes the send path's answer ring until a frame of the
 // wanted kind arrives, applying credit frames along the way. For the
 // 64-byte CTS a damaged frame is interpreted by position (its content is
@@ -283,7 +276,7 @@ func (p *rdmaPMM) waitResp(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 		}
 		kind, seq, v, ok := rdmaDecodeFrame(st.respIn.Bytes()[c.Off : c.Off+c.Len])
 		if !ok {
-			countObs(cs, "rdma/ctrl-damaged")
+			sessionMetrics(cs).Counter("rdma/ctrl-damaged").Add(1)
 			if want == rdmaCTS {
 				return 0, false, nil // positionally, this is the CTS
 			}
@@ -322,7 +315,7 @@ func (p *rdmaPMM) waitCtrl(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 	}
 	kind, seq, v, ok := rdmaDecodeFrame(st.ctrlIn.Bytes()[c.Off : c.Off+c.Len])
 	if !ok {
-		countObs(cs, "rdma/ctrl-damaged")
+		sessionMetrics(cs).Counter("rdma/ctrl-damaged").Add(1)
 		return 0, false, nil
 	}
 	if kind != want || seq != wantSeq {
@@ -470,7 +463,7 @@ func (t *rdmaRdvTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) erro
 		st.ctrlNext++
 		_, _, err := t.p.waitResp(a, cs, rdmaACK, seq)
 		if err == errRdmaNACK {
-			countObs(cs, "rdma/rdv-retransmit")
+			sessionMetrics(cs).Counter("rdma/rdv-retransmit").Add(1)
 			continue
 		}
 		return err
@@ -531,7 +524,7 @@ func (t *rdmaRdvTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) er
 			st.respNext++
 			return nil
 		}
-		countObs(cs, "rdma/rdv-nack")
+		sessionMetrics(cs).Counter("rdma/rdv-nack").Add(1)
 		if err := t.p.writeFrame(a, st, st.peerResp, st.respNext, rdmaNACK, seq, 0, rdmaVerdictSize); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"madeleine2/internal/model"
@@ -140,7 +141,7 @@ func TestRDMAObservedTMs(t *testing.T) {
 	go func() { done <- recvMsg(t, chans[1], r, blocks) }()
 	sendMsg(t, chans[0], s, 1, blocks)
 	<-done
-	lats := obs.TMLatencies()
+	lats := tmLatencies(obs)
 	if lats["rdma-eager/tx"].Count == 0 || lats["rdma-eager/rx"].Count == 0 {
 		t.Error("rdma-eager histograms missing after eager traffic")
 	}
@@ -149,9 +150,10 @@ func TestRDMAObservedTMs(t *testing.T) {
 	}
 }
 
-// hostileRDMARun drives rendezvous traffic through a corrupting fabric
-// and reports the delivered payload intactness plus the fault counters.
-func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int64) {
+// hostileRDMARun drives rendezvous traffic through a corrupting fabric,
+// in a session observed by obs (nil: unobserved), and reports the
+// session's rdma/* counters.
+func hostileRDMARun(t *testing.T, seed int64, msgs int, obs *Observer) (counters map[string]int64) {
 	t.Helper()
 	w := testWorld(2)
 	for i := 0; i < 2; i++ {
@@ -165,7 +167,6 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 		a.SetFaults(&simnet.FaultPlan{Seed: seed, Corrupt: 0.4, MinBytes: 32})
 	}
 	sess := NewSession(w)
-	obs := NewObserver(nil)
 	sess.SetObserver(obs)
 	chans, err := sess.NewChannel(ChannelSpec{Name: "rdma-hostile", Driver: "rdma"})
 	if err != nil {
@@ -181,7 +182,12 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 			t.Fatalf("seed %d message %d: rendezvous delivered a torn destination", seed, msg)
 		}
 	}
-	return obs.Counters()
+	snap := sess.Metrics().Snapshot()
+	counters = make(map[string]int64)
+	for _, k := range []string{"rdma/rdv-retransmit", "rdma/rdv-nack", "rdma/ctrl-damaged"} {
+		counters[k], _ = snap.Counter(k)
+	}
+	return counters
 }
 
 // TestRDMARendezvousHostileFabric is the satellite scenario: corruption
@@ -189,7 +195,7 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 // as counted errors and retransmits — never a torn destination handed to
 // the application, and never a wedged lease (every message completes).
 func TestRDMARendezvousHostileFabric(t *testing.T) {
-	got := hostileRDMARun(t, 23, 6)
+	got := hostileRDMARun(t, 23, 6, NewObserver(nil))
 	if got["rdma/rdv-retransmit"] == 0 {
 		t.Errorf("counters = %v: no retransmit counted under Corrupt=0.4", got)
 	}
@@ -198,10 +204,46 @@ func TestRDMARendezvousHostileFabric(t *testing.T) {
 	}
 	// Seeded fault plans are deterministic: the identical run reproduces
 	// the identical error accounting.
-	again := hostileRDMARun(t, 23, 6)
+	again := hostileRDMARun(t, 23, 6, NewObserver(nil))
 	for _, k := range []string{"rdma/rdv-retransmit", "rdma/rdv-nack", "rdma/ctrl-damaged"} {
 		if got[k] != again[k] {
 			t.Errorf("%s not deterministic: %d vs %d", k, got[k], again[k])
 		}
 	}
+}
+
+// TestRDMAOpenChannelHeapFlat streams small messages over one open rdma
+// channel and checks the live heap stays flat: each eager message costs
+// the protocol a few one-sided writes, and nothing may keep a record of
+// every one of them for as long as the channel is open.
+func TestRDMAOpenChannelHeapFlat(t *testing.T) {
+	chans, _ := newTestChannel(t, "rdma")
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	blocks := []block{{data: pattern(64, 3), sm: SendCheaper, rm: ReceiveCheaper}}
+	stream := func(msgs int) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < msgs; i++ {
+				recvMsg(t, chans[1], r, blocks)
+			}
+		}()
+		for i := 0; i < msgs; i++ {
+			sendMsg(t, chans[0], s, 1, blocks)
+		}
+		<-done
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	stream(1000) // warm up: rings registered, pools filled
+	before := liveHeap()
+	stream(50000)
+	if growth := liveHeap() - before; growth > 512<<10 {
+		t.Errorf("live heap grew %d B over 50000 messages on an open channel, want < 512 KiB", growth)
+	}
+	runtime.KeepAlive(chans)
 }

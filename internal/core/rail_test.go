@@ -176,7 +176,7 @@ func TestRailHeaderCleanFabric(t *testing.T) {
 	if got := <-done; !bytes.Equal(got[0], blocks[0].data) {
 		t.Fatal("clean-fabric striped block corrupted")
 	}
-	if n := obs.Counters()["rail/hdr-mismatch"]; n != 0 {
+	if n, _ := sess.Metrics().Snapshot().Counter("rail/hdr-mismatch"); n != 0 {
 		t.Errorf("rail/hdr-mismatch = %d on a clean fabric, want 0", n)
 	}
 }
@@ -188,12 +188,21 @@ func TestRailHeaderCleanFabric(t *testing.T) {
 // messages, and the cross-check counter records the scrambled headers.
 // End-to-end integrity under faults belongs to the fwd reliable mode.
 func TestRailScrambledHeaderIsNotFatal(t *testing.T) {
+	if n := scrambledRailRun(t, NewObserver(nil)); n == 0 {
+		t.Error("expected at least one scrambled rail header with Corrupt=1 over 768 frames")
+	}
+}
+
+// scrambledRailRun streams eight striped messages over two rails that
+// corrupt every eligible transfer, in a session observed by obs (nil:
+// unobserved), and reports the session's rail/hdr-mismatch count.
+func scrambledRailRun(t *testing.T, obs *Observer) int64 {
+	t.Helper()
 	w := railTestWorld(2, 2)
 	for _, a := range w.Adapters() {
 		a.SetFaults(&simnet.FaultPlan{Seed: 7, Corrupt: 1, MinBytes: 64})
 	}
 	sess := NewSession(w)
-	obs := NewObserver(nil)
 	sess.SetObserver(obs)
 	chans, err := sess.NewChannel(ChannelSpec{Name: "scrambled", Rails: sameRails("tcp", 2), StripeSize: 1 << 10})
 	if err != nil {
@@ -207,9 +216,8 @@ func TestRailScrambledHeaderIsNotFatal(t *testing.T) {
 		sendMsg(t, chans[0], s, 1, blocks)
 		<-done // payload bytes are corrupted, but length and order survive
 	}
-	if n := obs.Counters()["rail/hdr-mismatch"]; n == 0 {
-		t.Error("expected at least one scrambled rail header with Corrupt=1 over 768 frames")
-	}
+	n, _ := sess.Metrics().Snapshot().Counter("rail/hdr-mismatch")
+	return n
 }
 
 // TestRailSpecValidation covers the spec-level error paths.

@@ -103,29 +103,31 @@ func (cs *chanStats) unpacked(n int) {
 	cs.bytesIn.Add(int64(n))
 }
 
-// chanMetrics caches the channel's handles into the session registry so
-// the asynchronous hot paths bump always-on metrics with one atomic add
-// and no map lookup. Handles stay nil on channels built outside
-// Session.NewChannel (white-box tests); a nil handle is a no-op sink.
+// chanMetrics caches the channel's registry-native handles (the parked
+// lease counter and the CQ backlog gauge have no other store) so the
+// asynchronous hot paths bump them with one atomic op and no map lookup.
+// Handles stay nil on channels built outside Session.NewChannel
+// (white-box tests); a nil handle is a no-op sink.
 type chanMetrics struct {
-	submitted, completed, errors, parked *metrics.Counter
-	cqDepth                              *metrics.Gauge
+	parked  *metrics.Counter
+	cqDepth *metrics.Gauge
 }
 
 // bindMetrics resolves the channel's cached handles and registers a
-// collector mapping the channel's live accounting into the
-// chan/<name>/... counter namespace. Per-rank collectors of one channel
-// emit under the same names, so snapshots show cluster-wide totals.
+// collector publishing the channel's live accounting: the async/*
+// submission counters and the chan/<name>/... traffic counters.
+// Per-rank collectors of one channel emit under the same names, so
+// snapshots show session-wide totals.
 func (c *Channel) bindMetrics(reg *metrics.Registry) {
-	c.met.submitted = reg.Counter("async/submitted")
-	c.met.completed = reg.Counter("async/completed")
-	c.met.errors = reg.Counter("async/errors")
 	c.met.parked = reg.Counter("async/parked-lease")
 	c.met.cqDepth = reg.Gauge("async/cq-depth-max")
 
 	prefix := "chan/" + metrics.Clean(c.name) + "/"
 	st := &c.stats
 	reg.RegisterCollector(func(emit func(string, int64)) {
+		emit("async/submitted", st.asyncSubmitted.Load())
+		emit("async/completed", st.asyncCompleted.Load())
+		emit("async/errors", st.asyncErrors.Load())
 		nz := func(name string, v int64) {
 			if v != 0 {
 				emit(prefix+name, v)
@@ -140,6 +142,19 @@ func (c *Channel) bindMetrics(reg *metrics.Registry) {
 		nz("commits", st.commits.Load())
 		nz("checkouts", st.checkouts.Load())
 	})
+}
+
+// sessionMetrics returns the registry of the session owning cs's
+// channel, nil (a no-op sink) on a channel built outside a session. PMMs
+// count their protocol events there (rail header mismatches, rdma
+// control-frame damage and rendezvous retransmits), so the events count
+// whether or not an observer is installed; they fire only on damaged
+// traffic, so each resolves its counter by name when it fires.
+func sessionMetrics(cs *ConnState) *metrics.Registry {
+	if cs.ch == nil || cs.ch.sess == nil {
+		return nil
+	}
+	return cs.ch.sess.Metrics()
 }
 
 // Stats snapshots the channel's accounting.

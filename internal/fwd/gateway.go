@@ -169,14 +169,14 @@ func (d *daemonState) recvBestEffort(conn *core.Connection, hb []byte) bool {
 		// process — but close the message scope first, so the dead
 		// daemon does not keep the receive lease wedged.
 		_ = conn.EndUnpacking()
-		v.count("fwd/drop/header", &v.ctr.dropHeader)
+		v.count(EvDropHeader)
 		v.fail(fmt.Errorf("fwd daemon %s: unrecoverable: %w", a.Name(), err))
 		return false
 	}
 	d.throttle(h.Len)
 	if h.Len < 0 || h.Len > v.mtu {
 		_ = conn.EndUnpacking()
-		v.count("fwd/drop/len", &v.ctr.dropLen)
+		v.count(EvDropLen)
 		v.fail(fmt.Errorf("fwd daemon %s: unrecoverable: packet length %d (MTU %d), corrupted header", a.Name(), h.Len, v.mtu))
 		return false
 	}
@@ -194,7 +194,7 @@ func (d *daemonState) recvBestEffort(conn *core.Connection, hb []byte) bool {
 		}
 		corrupt := checksum(payload) != h.CRC
 		if corrupt {
-			v.count("fwd/delivered-corrupt", &v.ctr.deliveredCorrupt)
+			v.count(EvDeliveredCorrupt)
 		}
 		return d.deliver(h, payload, corrupt)
 	}
@@ -202,7 +202,7 @@ func (d *daemonState) recvBestEffort(conn *core.Connection, hb []byte) bool {
 	if !ok {
 		// A routable header with an unknown destination: drain and drop
 		// this packet, keep the stream (and the daemon) alive.
-		v.count("fwd/drop/route", &v.ctr.dropRoute)
+		v.count(EvDropRoute)
 		if h.Len > 0 {
 			sink := make([]byte, h.Len)
 			if err := conn.Unpack(sink, core.SendCheaper, core.ReceiveCheaper); err != nil {
@@ -243,7 +243,7 @@ func (d *daemonState) recvBestEffort(conn *core.Connection, hb []byte) bool {
 		// it and let the delivering edge detect it — the gateway only
 		// counts the sighting. Dropping here would silently desync the
 		// destination's stream, which has no way to learn a packet died.
-		v.count("fwd/relayed-corrupt", &v.ctr.relayedCorrupt)
+		v.count(EvRelayedCorrupt)
 	}
 	// The incoming transfer's wire interval: from the header's arrival
 	// through the payload's byte time (the receive side of Fig. 9),
@@ -270,14 +270,14 @@ func (d *daemonState) recvReliable(conn *core.Connection, hb []byte) bool {
 	var hp hop
 	switch {
 	case herr != nil:
-		v.count("fwd/drop/header", &v.ctr.dropHeader)
+		v.count(EvDropHeader)
 	case h.Len < 0 || h.Len > v.mtu:
-		v.count("fwd/drop/len", &v.ctr.dropLen)
+		v.count(EvDropLen)
 	case h.LSeq == d.lastLSeq[prev]:
 		// The retransmit of a packet whose acknowledgment was lost:
 		// suppress the duplicate delivery, acknowledge again.
 		fate = frDup
-		v.count("fwd/rel/dup-suppressed", &v.ctr.dups)
+		v.count(EvDupSuppressed)
 	case h.Dst == v.rank:
 		fate = frDeliver
 	default:
@@ -285,7 +285,7 @@ func (d *daemonState) recvReliable(conn *core.Connection, hb []byte) bool {
 		if hp, ok = v.next[h.Dst]; ok {
 			fate = frForward
 		} else {
-			v.count("fwd/drop/route", &v.ctr.dropRoute)
+			v.count(EvDropRoute)
 		}
 	}
 	if herr == nil {
@@ -322,7 +322,7 @@ func (d *daemonState) recvReliable(conn *core.Connection, hb []byte) bool {
 		return false
 	}
 	if (fate == frDeliver || fate == frForward) && checksum(dst[:h.Len]) != h.CRC {
-		v.count("fwd/drop/crc", &v.ctr.dropCRC)
+		v.count(EvDropCRC)
 		if tok != nil {
 			p.free.PushIfOpen(tok)
 		}
@@ -361,7 +361,7 @@ func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
 	v := d.v
 	if h.Flags&flagFirst != 0 {
 		if !v.msgStart.PushIfOpen(h.Origin) {
-			v.count("fwd/drop/closed", &v.ctr.dropClosed)
+			v.count(EvDropClosed)
 			return false
 		}
 	}
@@ -374,7 +374,7 @@ func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
 		trace:   h.Trace,
 		hop:     h.Hop + 1, // delivery hop: sorts after every relay
 	}) {
-		v.count("fwd/drop/closed", &v.ctr.dropClosed)
+		v.count(EvDropClosed)
 		return false
 	}
 	return true

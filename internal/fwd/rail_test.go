@@ -112,10 +112,10 @@ func TestLossyRailDeliversViaRetransmit(t *testing.T) {
 			t.Errorf("rank %d failed fatally on a survivable rail: %v", v.Rank(), err)
 		}
 	}
-	if rs.Retransmits == 0 {
+	if rs[EvRetransmit] == 0 {
 		t.Errorf("a lossy rail produced zero retransmits: %+v", rs)
 	}
-	if rs.DropCRC == 0 {
+	if rs[EvDropCRC] == 0 {
 		t.Errorf("damaged striped frames must be dropped by checksum: %+v", rs)
 	}
 }

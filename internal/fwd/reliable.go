@@ -90,113 +90,88 @@ func (r *relState) closeAll() {
 	}
 }
 
-// relCounters are the VC's live reliability/degradation event counters.
-// They count in every mode: the drop and relay counters also track the
-// non-reliable daemon's graceful-degradation paths.
-type relCounters struct {
-	packets     atomic.Int64
-	retransmits atomic.Int64
-	acks        atomic.Int64
-	nacks       atomic.Int64
-	ctlDamaged  atomic.Int64
-	backoffs    atomic.Int64
-	dups        atomic.Int64
+// Event is one reliability or graceful-degradation event a VC handle
+// counts. Events count in every mode: the drop and relay events also
+// track the non-reliable daemon's degradation paths.
+type Event int
 
-	dropHeader atomic.Int64
-	dropLen    atomic.Int64
-	dropCRC    atomic.Int64
-	dropRoute  atomic.Int64
-	dropClosed atomic.Int64
+const (
+	EvPacket           Event = iota // first transmissions on reliable links
+	EvRetransmit                    // re-sends after a NACK or damaged verdict
+	EvAck                           // positive verdicts consumed
+	EvNack                          // negative verdicts consumed
+	EvCtlDamaged                    // verdict frames that arrived unreadable
+	EvBackoff                       // backoff waits taken before retransmitting
+	EvDupSuppressed                 // duplicate packets recognized and suppressed
+	EvDropHeader                    // packets dropped: damaged/unparseable header
+	EvDropLen                       // packets dropped: length beyond the MTU
+	EvDropCRC                       // packets dropped: payload checksum mismatch
+	EvDropRoute                     // packets dropped: no route to the destination
+	EvDropClosed                    // packets dropped: local delivery raced shutdown
+	EvRelayedCorrupt                // non-reliable: mid-route CRC failures relayed to the edge
+	EvDeliveredCorrupt              // non-reliable: corrupt chunks surfaced to Unpack
+	NumEvents
+)
 
-	relayedCorrupt   atomic.Int64
-	deliveredCorrupt atomic.Int64
+// eventNames is each event's name in the session metrics registry.
+var eventNames = [NumEvents]string{
+	EvPacket:           "fwd/rel/packet",
+	EvRetransmit:       "fwd/rel/retransmit",
+	EvAck:              "fwd/rel/ack",
+	EvNack:             "fwd/rel/nack",
+	EvCtlDamaged:       "fwd/rel/ctl-damaged",
+	EvBackoff:          "fwd/rel/backoff",
+	EvDupSuppressed:    "fwd/rel/dup-suppressed",
+	EvDropHeader:       "fwd/drop/header",
+	EvDropLen:          "fwd/drop/len",
+	EvDropCRC:          "fwd/drop/crc",
+	EvDropRoute:        "fwd/drop/route",
+	EvDropClosed:       "fwd/drop/closed",
+	EvRelayedCorrupt:   "fwd/relayed-corrupt",
+	EvDeliveredCorrupt: "fwd/delivered-corrupt",
 }
 
-// RelStats is a snapshot of a VC handle's reliability counters.
-type RelStats struct {
-	Packets     int64 // first transmissions on reliable links
-	Retransmits int64 // re-sends after a NACK or damaged verdict
-	Acks        int64 // positive verdicts consumed
-	Nacks       int64 // negative verdicts consumed
-	CtlDamaged  int64 // verdict frames that arrived unreadable
-	Backoffs    int64 // backoff waits taken before retransmitting
-	DupSuppress int64 // duplicate packets recognized and suppressed
+// String returns the event's metric name.
+func (e Event) String() string { return eventNames[e] }
 
-	DropHeader int64 // packets dropped: damaged/unparseable header
-	DropLen    int64 // packets dropped: length beyond the MTU
-	DropCRC    int64 // packets dropped: payload checksum mismatch
-	DropRoute  int64 // packets dropped: no route to the destination
-	DropClosed int64 // packets dropped: local delivery raced shutdown
-
-	RelayedCorrupt   int64 // non-reliable: mid-route CRC failures relayed to the edge
-	DeliveredCorrupt int64 // non-reliable: corrupt chunks surfaced to Unpack
-}
-
-// RelStats snapshots the handle's reliability counters.
-func (v *VC) RelStats() RelStats {
-	c := &v.ctr
-	return RelStats{
-		Packets:     c.packets.Load(),
-		Retransmits: c.retransmits.Load(),
-		Acks:        c.acks.Load(),
-		Nacks:       c.nacks.Load(),
-		CtlDamaged:  c.ctlDamaged.Load(),
-		Backoffs:    c.backoffs.Load(),
-		DupSuppress: c.dups.Load(),
-
-		DropHeader: c.dropHeader.Load(),
-		DropLen:    c.dropLen.Load(),
-		DropCRC:    c.dropCRC.Load(),
-		DropRoute:  c.dropRoute.Load(),
-		DropClosed: c.dropClosed.Load(),
-
-		RelayedCorrupt:   c.relayedCorrupt.Load(),
-		DeliveredCorrupt: c.deliveredCorrupt.Load(),
-	}
-}
+// RelStats is a snapshot of a VC handle's event counters, indexed by
+// Event.
+type RelStats [NumEvents]int64
 
 // Add accumulates another snapshot (for cluster-wide totals).
 func (s *RelStats) Add(o RelStats) {
-	s.Packets += o.Packets
-	s.Retransmits += o.Retransmits
-	s.Acks += o.Acks
-	s.Nacks += o.Nacks
-	s.CtlDamaged += o.CtlDamaged
-	s.Backoffs += o.Backoffs
-	s.DupSuppress += o.DupSuppress
-	s.DropHeader += o.DropHeader
-	s.DropLen += o.DropLen
-	s.DropCRC += o.DropCRC
-	s.DropRoute += o.DropRoute
-	s.DropClosed += o.DropClosed
-	s.RelayedCorrupt += o.RelayedCorrupt
-	s.DeliveredCorrupt += o.DeliveredCorrupt
-}
-
-// count bumps a local counter and mirrors it into the session metrics
-// registry, so the reliability events surface in the fwd/* namespace of
-// every exposition path (Observer.Report, the HTTP endpoint, madtop)
-// without bespoke printing. The handle map is read-only after New; a
-// missing name resolves to a nil counter, itself a valid no-op sink.
-func (v *VC) count(name string, c *atomic.Int64) {
-	c.Add(1)
-	v.met[name].Add(1)
-}
-
-// relMetrics resolves the virtual channel's fixed counter names against
-// the session registry once, so the hot paths pay one atomic add and no
-// map lock per event.
-func relMetrics(reg *metrics.Registry) map[string]*metrics.Counter {
-	m := make(map[string]*metrics.Counter)
-	for _, name := range []string{
-		"fwd/rel/packet", "fwd/rel/retransmit", "fwd/rel/ack", "fwd/rel/nack",
-		"fwd/rel/ctl-damaged", "fwd/rel/backoff", "fwd/rel/dup-suppressed",
-		"fwd/drop/header", "fwd/drop/len", "fwd/drop/crc", "fwd/drop/route",
-		"fwd/drop/closed", "fwd/relayed-corrupt", "fwd/delivered-corrupt",
-	} {
-		m[name] = reg.Counter(name)
+	for ev := range s {
+		s[ev] += o[ev]
 	}
-	return m
+}
+
+// relCounters is a VC handle's live event store: one atomic per event.
+type relCounters [NumEvents]atomic.Int64
+
+// RelStats snapshots the handle's event counters.
+func (v *VC) RelStats() RelStats {
+	var s RelStats
+	for ev := range v.ctr {
+		s[ev] = v.ctr[ev].Load()
+	}
+	return s
+}
+
+// count records one event with a single atomic add; the session
+// registry reads the counters through the collector publish registers.
+func (v *VC) count(ev Event) { v.ctr[ev].Add(1) }
+
+// publish registers a collector emitting every counter under its event
+// name, zero or not; per-rank emissions of one name sum into session
+// totals. The collector captures the counter table alone, so a closed
+// handle's channels and pipelines do not stay reachable from the
+// registry.
+func (ctr *relCounters) publish(reg *metrics.Registry) {
+	reg.RegisterCollector(func(emit func(string, int64)) {
+		for ev := range ctr {
+			emit(eventNames[ev], ctr[ev].Load())
+		}
+	})
 }
 
 // Err reports the VC handle's fatal error: non-nil once retries have been
@@ -264,9 +239,9 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 			return err
 		}
 		if attempt == 0 {
-			v.count("fwd/rel/packet", &v.ctr.packets)
+			v.count(EvPacket)
 		} else {
-			v.count("fwd/rel/retransmit", &v.ctr.retransmits)
+			v.count(EvRetransmit)
 			// Retransmissions carry the originating trace ID, so a merged
 			// export shows which message's journey paid the loss.
 			v.rec.RecordT(a.Name(), txAt, a.Now(), "t:retransmit", h.Trace, h.Hop)
@@ -277,13 +252,13 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 		}
 		a.Sync(vd.stamp)
 		if vd.ok {
-			v.count("fwd/rel/ack", &v.ctr.acks)
+			v.count(EvAck)
 			return nil
 		}
 		if vd.damaged {
-			v.count("fwd/rel/ctl-damaged", &v.ctr.ctlDamaged)
+			v.count(EvCtlDamaged)
 		} else {
-			v.count("fwd/rel/nack", &v.ctr.nacks)
+			v.count(EvNack)
 		}
 		if attempt >= v.spec.MaxRetries {
 			err := fmt.Errorf("fwd: %s: packet for %d via %d (link seq %d) unacknowledged after %d retransmits",
@@ -294,7 +269,7 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 		bt := a.Now()
 		a.Advance(backoff)
 		v.rec.RecordT(a.Name(), bt, a.Now(), "b:backoff", h.Trace, h.Hop)
-		v.count("fwd/rel/backoff", &v.ctr.backoffs)
+		v.count(EvBackoff)
 		backoff *= 2
 	}
 }

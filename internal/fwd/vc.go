@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"madeleine2/internal/core"
-	"madeleine2/internal/metrics"
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/trace"
@@ -108,8 +107,7 @@ type VC struct {
 	pipes    map[[2]int]*pipeline
 
 	rel *relState // reliable mode only
-	ctr relCounters
-	met map[string]*metrics.Counter // session-registry mirrors, read-only after New
+	ctr *relCounters
 
 	// Distributed tracing: every message gets a cluster-wide trace ID of
 	// traceBase (a hash of the channel name and rank, never zero in the
@@ -195,7 +193,7 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			spec:     spec,
 			sess:     sess,
 			rec:      rec,
-			met:      relMetrics(sess.Metrics()),
+			ctr:      new(relCounters),
 			chans:    make(map[int]*core.Channel),
 			ctls:     make(map[int]*core.Channel),
 			next:     routes[r],
@@ -206,6 +204,7 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			members:  members,
 			segs:     segMembers,
 		}
+		v.ctr.publish(sess.Metrics())
 		if spec.Reliable {
 			v.rel = newRelState()
 		}

@@ -3,8 +3,8 @@
 // HCA touches is registered first and addressed remotely by key, an RDMA
 // Write lands bytes directly in the remote registered region with no
 // receive descriptor consumed, and completions are observed in virtual
-// time — the initiator from its send queue, the target by polling the
-// region for incoming writes (the "poll the last byte" style of
+// time — the initiator from the visibility time Write returns, the
+// target by polling the region for incoming writes (the "poll the last byte" style of
 // RDMA-write-based protocols).
 //
 // The driver deliberately shares the via package's registration
@@ -52,8 +52,6 @@ type HCA struct {
 	regions map[uint32]*MemRegion
 }
 
-var hcaRegistry sync.Map // *simnet.Adapter -> *HCA
-
 // Attach opens the RDMA provider on the idx-th rdma adapter of node n.
 func Attach(n *simnet.Node, idx int) (*HCA, error) {
 	a, err := n.Adapter(Network, idx)
@@ -61,8 +59,7 @@ func Attach(n *simnet.Node, idx int) (*HCA, error) {
 		return nil, fmt.Errorf("rdma: %w", err)
 	}
 	h := &HCA{adapter: a, regions: make(map[uint32]*MemRegion)}
-	actual, _ := hcaRegistry.LoadOrStore(a, h)
-	return actual.(*HCA), nil
+	return a.AttachDriver(h).(*HCA), nil
 }
 
 // Node reports the rank of the HCA's host.
@@ -138,9 +135,8 @@ func (m *MemRegion) Deregister() error {
 	return nil
 }
 
-// Completion describes one finished RDMA operation: for the target, a
-// remote write that became visible; for the initiator, a Write whose last
-// byte landed.
+// Completion describes one remote write that became visible in a
+// target region.
 type Completion struct {
 	Off    int
 	Len    int
@@ -173,18 +169,17 @@ func (m *MemRegion) TryWaitWrite(a *vclock.Actor) (Completion, bool) {
 }
 
 // EP is a one-sided endpoint toward one peer adapter. It carries no
-// connection state beyond addressing — one-sided operations name their
-// target by region key — plus the initiator-side completion queue.
+// connection state beyond addressing: one-sided operations name their
+// target by region key, and Write returns its own completion time.
 type EP struct {
 	hca    *HCA
 	dst    int
 	dstIdx int
-	cq     *simnet.Queue[Completion]
 }
 
 // Dial opens an endpoint toward the idx-th rdma adapter of dstNode.
 func (h *HCA) Dial(dstNode, dstIdx int) *EP {
-	return &EP{hca: h, dst: dstNode, dstIdx: dstIdx, cq: simnet.NewQueue[Completion]()}
+	return &EP{hca: h, dst: dstNode, dstIdx: dstIdx}
 }
 
 // remote resolves key to the peer's registered region.
@@ -193,11 +188,10 @@ func (e *EP) remote(key uint32) (*MemRegion, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdma: %w", err)
 	}
-	val, ok := hcaRegistry.Load(pa)
+	peer, ok := pa.Driver().(*HCA)
 	if !ok {
 		return nil, fmt.Errorf("rdma: node %d has not attached to %s[%d]", e.dst, Network, e.dstIdx)
 	}
-	peer := val.(*HCA)
 	peer.mu.Lock()
 	m := peer.regions[key]
 	peer.mu.Unlock()
@@ -211,8 +205,8 @@ func (e *EP) remote(key uint32) (*MemRegion, error) {
 // initiating CPU pays only the doorbell half of the fixed cost; the HCA's
 // transmit engine serializes the wire time and the write becomes visible
 // to the target when the last byte lands. tag travels in the completion
-// for matching. The visibility time is returned and also pushed onto the
-// endpoint's send completion queue (see WaitSend).
+// for matching. Write returns the visibility time: the moment the data is
+// remotely visible and the local buffer is reusable.
 //
 // Delivery re-checks registration under the region's lifecycle lock: a
 // Write racing the target's Deregister fails instead of landing bytes in
@@ -242,21 +236,7 @@ func (e *EP) Write(a *vclock.Actor, key uint32, off int, data []byte, tag uint64
 		Tag:    tag,
 	})
 	m.mu.Unlock()
-	e.cq.Push(Completion{Off: off, Len: len(data), Tag: tag, Arrive: arrive})
 	return arrive, nil
-}
-
-// WaitSend blocks for the next initiator-side completion, in post order,
-// and synchronizes the actor's clock to it — the moment the written data
-// is remotely visible and the local buffer is reusable. ok is false once
-// the endpoint is closed and drained.
-func (e *EP) WaitSend(a *vclock.Actor) (Completion, bool) {
-	c, ok := e.cq.Pop()
-	if !ok {
-		return Completion{}, false
-	}
-	a.Sync(c.Arrive)
-	return c, true
 }
 
 // Read RDMA-reads len(dst) bytes from the remote region at off. The
@@ -286,7 +266,3 @@ func (e *EP) Read(a *vclock.Actor, key uint32, off int, dst []byte, link model.L
 	m.mu.Unlock()
 	return nil
 }
-
-// Close shuts the endpoint's send completion queue; a blocked WaitSend
-// wakes with ok=false once delivered completions drain.
-func (e *EP) Close() { e.cq.Close() }

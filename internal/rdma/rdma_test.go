@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,33 +140,34 @@ func TestDeregisterWakesBlockedWait(t *testing.T) {
 	}
 }
 
-func TestSendCompletionQueue(t *testing.T) {
+func TestWriteReturnsVisibilityTime(t *testing.T) {
+	// Write reports when its bytes became visible: the same time the
+	// target's completion carries, never earlier than the doorbell, and
+	// non-decreasing across writes posted back to back.
 	h0, h1 := pair(t)
 	s, r := vclock.NewActor("s"), vclock.NewActor("r")
-	if _, err := h1.Register(r, 4, make([]byte, 256)); err != nil {
+	m, err := h1.Register(r, 4, make([]byte, 256))
+	if err != nil {
 		t.Fatal(err)
 	}
 	ep := h0.Dial(1, 0)
-	for i := 0; i < 3; i++ {
-		if _, err := ep.Write(s, 4, i*8, []byte("chunk"), uint64(i), model.RDMAWrite); err != nil {
-			t.Fatal(err)
-		}
-	}
-	poller := vclock.NewActor("poller")
 	prev := vclock.Time(-1)
 	for i := 0; i < 3; i++ {
-		c, ok := ep.WaitSend(poller)
-		if !ok || c.Tag != uint64(i) {
-			t.Fatalf("send completion %d: %+v/%v", i, c, ok)
+		arrive, err := ep.Write(s, 4, i*8, []byte("chunk"), uint64(i), model.RDMAWrite)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.Arrive < prev {
-			t.Errorf("send completion %d regressed in time", i)
+		if arrive < s.Now() || arrive < prev {
+			t.Errorf("write %d visible at %v: before the initiator clock %v or the previous write %v", i, arrive, s.Now(), prev)
 		}
-		prev = c.Arrive
-	}
-	ep.Close()
-	if _, ok := ep.WaitSend(poller); ok {
-		t.Error("WaitSend on a closed endpoint must report !ok")
+		prev = arrive
+		c, err := m.WaitWrite(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Tag != uint64(i) || c.Arrive != arrive {
+			t.Errorf("target completion %d = %+v, want tag %d arriving at %v", i, c, i, arrive)
+		}
 	}
 }
 
@@ -229,4 +231,41 @@ func TestFaultPlanStrikesWrites(t *testing.T) {
 	if st := h1.Adapter().FaultStats(); st.Corrupted == 0 {
 		t.Errorf("fault stats = %+v, corruption not counted", st)
 	}
+}
+
+// TestClosedWorldIsCollectable checks that attaching leaves no
+// process-wide reference behind: the HCA lives on its adapter, so a
+// world nobody uses any more is garbage, adapters included.
+// The adapter sits on reference cycles (node, world, driver state) and
+// Go never runs a finalizer set on a cycle, so the probe is the
+// adapter's transmit engine: a leaf that only the adapter reaches.
+func TestClosedWorldIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		h0, h1 := pair(t)
+		s, r := vclock.NewActor("s"), vclock.NewActor("r")
+		m, err := h1.Register(r, 1, make([]byte, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h0.Dial(1, 0).Write(s, 1, 0, []byte("ping"), 0, model.RDMAWrite); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.WaitWrite(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Deregister(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(h0.Adapter().TxEngine(), func(*vclock.Resource) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("an unused world's adapter survived a collection")
 }

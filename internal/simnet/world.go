@@ -138,6 +138,7 @@ type Adapter struct {
 	corrupt    atomic.Bool
 	corruptMin atomic.Int64
 	faults     atomic.Pointer[faultState]
+	driver     atomic.Pointer[any] // the attached driver's state (see AttachDriver)
 }
 
 // Node returns the adapter's host node.
@@ -166,6 +167,25 @@ func (a *Adapter) RxLane(srcNode, lane int) *Queue[Packet] {
 		a.lanes[k] = q
 	}
 	return q
+}
+
+// AttachDriver stores v as the adapter's driver state unless a driver
+// has attached already, and returns the state that is attached. A
+// network is served by one driver, so one slot suffices; the state lives
+// and dies with the adapter, hence with its world.
+func (a *Adapter) AttachDriver(v any) any {
+	a.driver.CompareAndSwap(nil, &v)
+	return *a.driver.Load()
+}
+
+// Driver returns the attached driver state, nil before any AttachDriver.
+// Drivers resolve a peer adapter's state through it once per message, so
+// it takes no lock.
+func (a *Adapter) Driver() any {
+	if p := a.driver.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Peer resolves the idx-th adapter of dstNode on this adapter's network.

@@ -3,6 +3,7 @@ package via
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -267,4 +268,40 @@ func TestBlockedWaitRecvFailsAtClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitRecv still blocked after Close")
 	}
+}
+
+// TestClosedWorldIsCollectable checks that attaching leaves no
+// process-wide reference behind: the NIC lives on its adapter, so a
+// world nobody uses any more is garbage, adapters included.
+// The adapter sits on reference cycles (node, world, driver state) and
+// Go never runs a finalizer set on a cycle, so the probe is the
+// adapter's transmit engine: a leaf that only the adapter reaches.
+func TestClosedWorldIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		n0, n1 := pair(t)
+		v0, v1 := n0.CreateVI(1, 1, 0), n1.CreateVI(1, 0, 0)
+		s, r := vclock.NewActor("s"), vclock.NewActor("r")
+		if err := v1.PostRecv(n1.Register(r, make([]byte, 64))); err != nil {
+			t.Fatal(err)
+		}
+		if err := v0.Send(s, n0.Register(s, make([]byte, 64)), 8, model.VIASend); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v1.WaitRecv(r); err != nil {
+			t.Fatal(err)
+		}
+		v0.Close()
+		v1.Close()
+		runtime.SetFinalizer(n0.adapter.TxEngine(), func(*vclock.Resource) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("an unused world's adapter survived a collection")
 }
